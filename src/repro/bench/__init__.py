@@ -11,7 +11,9 @@ from repro.bench.baseline import (
     ComparisonReport,
     MetricCheck,
     capture_baseline,
+    capture_run,
     compare_metrics,
+    default_directions,
     default_tolerances,
     format_report,
     headline_metrics,
@@ -25,7 +27,9 @@ __all__ = [
     "ComparisonReport",
     "MetricCheck",
     "capture_baseline",
+    "capture_run",
     "compare_metrics",
+    "default_directions",
     "default_tolerances",
     "format_report",
     "headline_metrics",

@@ -182,6 +182,22 @@ def capture_baseline(metrics, tolerance=DEFAULT_TOLERANCE, captured_at=None,
     return doc
 
 
+def capture_run(metrics, tolerance=DEFAULT_TOLERANCE, captured_at=None,
+                notes=None):
+    """Freeze a run's ``metrics`` with the standard per-metric settings.
+
+    The one capture path for run reports: :func:`capture_baseline` with
+    :func:`default_directions` (so higher-is-better metrics gate drops)
+    and :func:`default_tolerances`.  Both ``repro bench`` and
+    ``benchmarks/baseline.py capture`` go through here.
+    """
+    return capture_baseline(
+        metrics, tolerance=tolerance, captured_at=captured_at,
+        directions=default_directions(metrics), notes=notes,
+        tolerances=default_tolerances(metrics),
+    )
+
+
 def write_baseline(doc, path):
     """Write a baseline document as stable, diffable JSON."""
     with open(path, "w") as fh:

@@ -61,16 +61,18 @@ class Namespace:
         the path.
         """
         path = normalize(path)
-        best = None
-        for prefix, warden in self._mounts.items():
-            if path == prefix or path.startswith(prefix + "/"):
-                if best is None or len(prefix) > len(best[0]):
-                    best = (prefix, warden)
-        if best is None:
-            raise NoSuchObject(f"no warden manages {path!r}")
-        prefix, warden = best
+        mounts = self._mounts
+        # Candidate prefixes are the path itself and everything before
+        # each "/", longest first: one dict lookup per path component.
+        prefix = path
+        cut = len(path)
+        while prefix not in mounts:
+            cut = path.rfind("/", 0, cut)
+            if cut <= 0:
+                raise NoSuchObject(f"no warden manages {path!r}")
+            prefix = path[:cut]
         rest = path[len(prefix):].lstrip("/")
-        return warden, rest
+        return mounts[prefix], rest
 
     def readdir(self, path):
         """List names under ``path``.

@@ -46,6 +46,16 @@ class Policy:
         """Estimated bandwidth available to ``connection_id`` (bytes/s) or None."""
         raise NotImplementedError
 
+    def bandwidth_levels(self):
+        """:meth:`availability` for a pass over many connections at once.
+
+        Returns a function ``connection_id -> bytes/s or None``, or None
+        when no connection has an estimate yet.  Policies that can hoist
+        work shared by every connection override this; the default asks
+        :meth:`availability` per connection.
+        """
+        return self.availability
+
     def total(self):
         """Estimated total client bandwidth (bytes/s) or None."""
         raise NotImplementedError
@@ -82,6 +92,9 @@ class OdysseyPolicy(Policy):
 
     def availability(self, connection_id):
         return self.shares.availability(connection_id)
+
+    def bandwidth_levels(self):
+        return self.shares.availabilities()
 
     def total(self):
         return self.shares.total

@@ -419,6 +419,9 @@ class Viceroy:
         self._recheck(Resource.NETWORK_BANDWIDTH)
 
     def _recheck(self, resource, connection_id=None):
+        if resource is Resource.NETWORK_BANDWIDTH and connection_id is None:
+            self._recheck_bandwidth()
+            return
         if connection_id is not None:
             candidates = self._by_connection.get(connection_id, {})
         else:
@@ -435,6 +438,31 @@ class Viceroy:
                 continue
             if not descriptor.window.contains(level):
                 violated.append((registration, level))
+        self._upcall_violations(resource, violated)
+
+    def _recheck_bandwidth(self):
+        """One pass over every bandwidth registration.
+
+        The policy hoists what all connections share (the total, the fair
+        part, the usage split) once, so a pass costs one lookup per
+        registration instead of one availability query each.
+        """
+        registrations = self._by_resource.get(Resource.NETWORK_BANDWIDTH)
+        if not registrations:
+            return
+        level_of = self.policy.bandwidth_levels()
+        if level_of is None:
+            return
+        violated = []
+        for registration in registrations.values():
+            if registration.connection_id is None:
+                continue
+            level = level_of(registration.connection_id)
+            if level is not None and not registration.descriptor.window.contains(level):
+                violated.append((registration, level))
+        self._upcall_violations(Resource.NETWORK_BANDWIDTH, violated)
+
+    def _upcall_violations(self, resource, violated):
         for registration, level in violated:
             self._drop_registration(registration)
             self._send_upcall(registration, resource, level, kind="violation")

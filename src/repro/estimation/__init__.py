@@ -9,12 +9,9 @@ Implements the viceroy's estimation machinery:
   ``B = W / (T - R/2)``.
 - :class:`ClientShares` — the centralized model: total client bandwidth
   estimated from *all* logs (aggregate bytes moved during each observed
-  window), split per connection into a competed-for part proportional to
-  recent use plus a fair-share lower bound.
-- :class:`BatchedEstimator` — the fleet-scale twin of :class:`EwmaFilter`:
-  one vectorized Eq. 1 step across every connection in a shard,
-  bit-identical to the scalar filter (numpy is scoped to this one module
-  and optional — without it the lanes fall back to scalar filters).
+  window, read from one shard-wide delivery index), split per connection
+  into a competed-for part proportional to recent use plus a fair-share
+  lower bound.
 - :mod:`repro.estimation.agility` — settling time, detection delay and
   tracking error: the metrics behind Figs. 8 and 9.
 
@@ -33,12 +30,10 @@ from repro.estimation.agility import (
     tracking_error,
 )
 from repro.estimation.bandwidth import ConnectionEstimator
-from repro.estimation.batch import BatchedEstimator
 from repro.estimation.ewma import EwmaFilter
 from repro.estimation.share import ClientShares
 
 __all__ = [
-    "BatchedEstimator",
     "ClientShares",
     "ConnectionEstimator",
     "EwmaFilter",

@@ -14,9 +14,9 @@ logs to estimate the total bandwidth available to the client".
 
 Deliveries are kept in time order (simulation time never goes backwards),
 so interval queries bisect into a prefix-sum index instead of scanning the
-whole retained window; with thousands of fleet connections each throughput
-observation triggers one such query per peer log, which made the linear
-scan the dominant cost of estimation at scale.
+whole retained window.  The centralized estimator does not query every
+peer log per observation: each log hands its deliveries to one
+shard-wide index through :attr:`RpcLog.delivery_listener`.
 """
 
 from bisect import bisect_right
@@ -84,12 +84,13 @@ class RpcLog:
         self._delivery_cum_base = 0
         self._delivered_total = 0
         self._observers = []
-        #: Single hot-path callback invoked (with no arguments) after every
-        #: delivery.  The observer protocol above deliberately excludes
-        #: deliveries — they are far too frequent for a fan-out list — but
-        #: the centralized share estimator needs a change signal to keep
-        #: its usage memo exact.  One attribute check per delivery, the
-        #: same discipline as the telemetry recorder's ``enabled`` gate.
+        #: Single hot-path callback invoked as ``listener(time, nbytes)``
+        #: after every delivery.  The observer protocol above deliberately
+        #: excludes deliveries — they are far too frequent for a fan-out
+        #: list — but the centralized share estimator keeps its own
+        #: shard-wide delivery index fed from here.  One attribute check
+        #: per delivery, the same discipline as the telemetry recorder's
+        #: ``enabled`` gate.
         self.delivery_listener = None
 
     def subscribe(self, observer):
@@ -126,10 +127,11 @@ class RpcLog:
 
     def add_delivery(self, nbytes):
         """Record ``nbytes`` of payload arriving now (fragment or response)."""
+        now = self.sim.now
         self._delivered_total += nbytes
-        self._delivery_times.append(self.sim.now)
+        self._delivery_times.append(now)
         self._delivery_cums.append(self._delivered_total)
-        horizon = self.sim.now - DELIVERY_HISTORY_SECONDS
+        horizon = now - DELIVERY_HISTORY_SECONDS
         times = self._delivery_times
         head = self._delivery_head
         while head < len(times) and times[head] < horizon:
@@ -141,7 +143,7 @@ class RpcLog:
             head = 0
         self._delivery_head = head
         if self.delivery_listener is not None:
-            self.delivery_listener()
+            self.delivery_listener(now, nbytes)
 
     # -- queries (used by estimators) ----------------------------------------
 
@@ -165,6 +167,15 @@ class RpcLog:
         cums = self._delivery_cums
         base = cums[lo - 1] if lo > 0 else self._delivery_cum_base
         return cums[hi - 1] - base
+
+    def retained_deliveries(self):
+        """``(time, nbytes)`` of every retained delivery, oldest first."""
+        times, cums = self._delivery_times, self._delivery_cums
+        head = self._delivery_head
+        previous = cums[head - 1] if head else self._delivery_cum_base
+        for index in range(head, len(times)):
+            yield times[index], cums[index] - previous
+            previous = cums[index]
 
     def recent_rate(self, horizon):
         """Mean delivery rate over the last ``horizon`` seconds (bytes/s)."""

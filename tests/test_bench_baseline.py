@@ -203,6 +203,18 @@ def test_committed_baseline_is_valid():
             assert entry["tolerance"] >= DEFAULT_TOLERANCE
 
 
+def test_committed_baseline_directions_match_defaults():
+    """Every committed direction is what a capture assigns its name: a
+    higher-is-better metric gated as "lower" fails a faster run and
+    passes a fidelity collapse."""
+    from repro.bench import default_directions
+
+    doc = load_baseline(os.path.join(REPO_ROOT, "benchmarks", "baseline.json"))
+    expected = default_directions(doc["metrics"])
+    assert {name: entry["direction"] for name, entry in doc["metrics"].items()} \
+        == {name: expected.get(name, "lower") for name in doc["metrics"]}
+
+
 def _run_script(args, cwd):
     return subprocess.run(
         [sys.executable, os.path.join(REPO_ROOT, "benchmarks", "baseline.py"),
@@ -298,3 +310,25 @@ def test_capture_default_directions_flip_quality_metrics():
         current={**metrics, "fleet.fleet_clients_per_second": 500.0},
         baseline_doc=doc,
     ).ok
+
+
+def test_script_capture_applies_default_directions(tmp_path):
+    """``baseline.py capture`` and ``repro bench`` share one capture path,
+    so the script marks higher-is-better metrics too."""
+    report = run_report()
+    report["benchmarks"][0]["extra_info"]["fleet_clients_per_second"] = 200.0
+    run_json = tmp_path / "run.json"
+    run_json.write_text(json.dumps(report))
+    baseline_json = tmp_path / "baseline.json"
+    captured = _run_script(
+        ["capture", "--json", str(run_json), "--out", str(baseline_json)],
+        cwd=tmp_path,
+    )
+    assert captured.returncode == 0, captured.stderr
+    metrics = load_baseline(str(baseline_json))["metrics"]
+    name = "test_event_loop_throughput.fleet_clients_per_second"
+    assert metrics[name]["direction"] == "higher"
+    assert metrics["test_event_loop_throughput.min_seconds"]["tolerance"] \
+        == MIN_SECONDS_TOLERANCE
+    assert metrics["test_event_loop_throughput.mean_seconds"]["direction"] \
+        == "lower"

@@ -1,6 +1,8 @@
 """The Odyssey namespace: mounts, longest-prefix routing, readdir."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.namespace import Namespace, normalize
 from repro.errors import NoSuchObject, OdysseyError
@@ -126,3 +128,49 @@ def test_mount_resolve_property():
         assert ns.readdir("/odyssey") == sorted(names)
 
     check()
+
+
+def linear_resolve(mounts, path):
+    """The reference: scan every mount for the longest matching prefix."""
+    path = normalize(path)
+    best = None
+    for prefix in mounts:
+        if path == prefix or path.startswith(prefix + "/"):
+            if best is None or len(prefix) > len(best):
+                best = prefix
+    return best, (None if best is None else path[len(best):].lstrip("/"))
+
+
+# Few component names, so generated mounts nest (``/r/a`` under ``/r``),
+# sit side by side (``/r/a`` next to ``/r/ab``) and paths hit them.
+components = st.lists(st.sampled_from(["a", "ab", "b", "a.b", ".."]),
+                      max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(root=st.sampled_from(["/", "/r", "/r/s"]),
+       mounts=st.lists(components, max_size=6),
+       probes=st.lists(st.tuples(components,
+                                 st.sampled_from(["", "/", "//"])),
+                       min_size=1, max_size=8))
+def test_resolve_is_the_longest_prefix_match(root, mounts, probes):
+    ns = Namespace(root)
+    for parts in mounts:
+        prefix = normalize("/".join([root, *parts]))
+        try:
+            ns.mount(prefix, FakeWarden(prefix))
+        except OdysseyError:
+            continue  # outside the root, or already mounted
+    for parts, lead in probes:
+        path = lead + "/".join([root.lstrip("/"), *parts])
+        path = path if path.startswith("/") else "/" + path
+        expected, rest = linear_resolve(ns.mounts, path)
+        if expected is None:
+            with pytest.raises(NoSuchObject):
+                ns.resolve(path)
+        else:
+            warden, got_rest = ns.resolve(path)
+            assert (warden.name, got_rest) == (expected, rest)
+    for prefix in ns.mounts:  # each mount point resolves to itself
+        warden, rest = ns.resolve(prefix)
+        assert (warden.name, rest) == (prefix, "")
