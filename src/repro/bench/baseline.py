@@ -12,6 +12,8 @@ A baseline document looks like::
     {
       "schema": "repro-bench-baseline/1",
       "captured_at": "2026-08-05",
+      "provenance": {"commit": "4b80288...", "python": "CPython 3.11.7",
+                     "cpu": "Intel(R) Xeon(R) ...", "cores": 2},
       "metrics": {
         "test_event_loop_throughput.min_seconds":
             {"value": 0.029, "tolerance": 2.0, "direction": "lower"},
@@ -25,6 +27,9 @@ when ``current < value / tolerance``).  Tolerances are multiplicative so
 one committed baseline survives both runner-to-runner speed differences
 and ordinary noise; CI scales them further via ``tolerance_scale``.
 
+``provenance`` records where the numbers came from (:func:`run_provenance`);
+it is informational, and loading and comparing ignore it.
+
 Failure semantics: a metric present in the baseline but absent from the
 run is a failure (a renamed or deleted benchmark must be re-baselined
 deliberately, never silently), while a metric present in the run but not
@@ -33,7 +38,10 @@ in the baseline is merely reported as new.
 
 import json
 import math
+import os
+import platform
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro.errors import BenchmarkError
 
@@ -72,6 +80,55 @@ HIGHER_IS_BETTER_SUFFIXES = (
 #: Tolerances are multiplicative bands around the baseline value; below
 #: unity they would demand the run beat its own baseline.
 _MIN_TOLERANCE = 1.0
+
+
+#: The checkout whose commit a capture records (``src/repro/bench`` up three).
+_REPO_ROOT = Path(__file__).resolve().parents[3]
+
+
+def _git_commit(root):
+    """The commit checked out at ``root``, read from ``.git``; None if absent."""
+    git = Path(root) / ".git"
+    try:
+        head = (git / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):
+            return head
+        ref = head[5:]
+        if (git / ref).exists():
+            return (git / ref).read_text().strip()
+        for line in (git / "packed-refs").read_text().splitlines():
+            sha, _, name = line.strip().partition(" ")
+            if name == ref:
+                return sha
+    except OSError:
+        pass
+    return None
+
+
+def _cpu_model():
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def run_provenance():
+    """Where a capture was taken: commit, Python, CPU model and core count.
+
+    Timings only compare across captures taken on like hosts; this is what
+    lets a reader tell.
+    """
+    return {
+        "commit": _git_commit(_REPO_ROOT),
+        "python": f"{platform.python_implementation()} "
+                  f"{platform.python_version()}",
+        "cpu": _cpu_model(),
+        "cores": os.cpu_count(),
+    }
 
 
 def _numeric(value):
@@ -188,14 +245,17 @@ def capture_run(metrics, tolerance=DEFAULT_TOLERANCE, captured_at=None,
 
     The one capture path for run reports: :func:`capture_baseline` with
     :func:`default_directions` (so higher-is-better metrics gate drops)
-    and :func:`default_tolerances`.  Both ``repro bench`` and
-    ``benchmarks/baseline.py capture`` go through here.
+    and :func:`default_tolerances`, stamped with :func:`run_provenance`.
+    Both ``repro bench`` and ``benchmarks/baseline.py capture`` go through
+    here.
     """
-    return capture_baseline(
+    doc = capture_baseline(
         metrics, tolerance=tolerance, captured_at=captured_at,
         directions=default_directions(metrics), notes=notes,
         tolerances=default_tolerances(metrics),
     )
+    doc["provenance"] = run_provenance()
+    return doc
 
 
 def write_baseline(doc, path):

@@ -61,7 +61,10 @@ class ConnectionEstimator:
         self.rtt_filter = EwmaFilter(rtt_gain, rise_cap=rtt_rise_cap)
         self.bandwidth_filter = EwmaFilter(throughput_gain)
         self._history = []  # (time, bandwidth estimate)
-        self._rtt_window = deque()  # (time, raw sample)
+        #: (time, raw sample) pairs of the base round-trip window whose
+        #: sample is below every later one: samples strictly increase, so
+        #: the first is the window's minimum.
+        self._rtt_window = deque()
 
     @property
     def round_trip(self):
@@ -80,7 +83,7 @@ class ConnectionEstimator:
         """
         if not self._rtt_window:
             return self.round_trip
-        return min(sample for _, sample in self._rtt_window)
+        return self._rtt_window[0][1]
 
     @property
     def bandwidth(self):
@@ -95,11 +98,18 @@ class ConnectionEstimator:
     def on_round_trip(self, log, entry):
         """Absorb a round-trip log entry."""
         capped_before = self.rtt_filter.capped_rises
-        self.rtt_filter.update(entry.seconds)
-        self._rtt_window.append((self.sim.now, entry.seconds))
-        horizon = self.sim.now - BASE_RTT_HORIZON
-        while self._rtt_window and self._rtt_window[0][0] < horizon:
-            self._rtt_window.popleft()
+        sample = entry.seconds
+        self.rtt_filter.update(sample)
+        # A sample expires after every earlier one, so an earlier sample no
+        # smaller than it can never be the minimum again.
+        now = self.sim.now
+        window = self._rtt_window
+        while window and window[-1][1] >= sample:
+            window.pop()
+        window.append((now, sample))
+        horizon = now - BASE_RTT_HORIZON
+        while window[0][0] < horizon:
+            window.popleft()
         rec = telemetry.RECORDER
         if rec.enabled:
             rec.count("estimation.rtt_updates", connection=self.connection_id)

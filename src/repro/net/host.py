@@ -42,6 +42,16 @@ class Host:
             )
         self.network.route(packet)
 
+    def sender(self):
+        """The network's routing entry, for a train of packets built here.
+
+        Equivalent to calling :meth:`send` per packet, with the attachment
+        check done once; each packet's ``src`` must be this host's name.
+        """
+        if self.network is None:
+            raise NetworkError(f"host {self.name!r} is not attached to a network")
+        return self.network.route
+
     def receive(self, packet):
         """Dispatch an arriving packet to its port's handler."""
         handler = self._ports.get(packet.port)

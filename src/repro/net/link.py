@@ -7,10 +7,13 @@ behind each other), then experience the propagation latency in effect when
 serialization finishes.  Delivery order is forced FIFO even across latency
 drops, matching in-order modulation of a single radio.
 
-The transmitter is event-driven rather than a generator process: every
-fragment of every bulk transfer crosses a link, and the callback chain
-(finish-transmission → begin-next) costs two scheduled events per packet
-where the old process loop cost three plus two generator switches.
+Under that model a packet's whole schedule is fixed the moment it is
+queued: it starts when the link goes idle, finishes when the trace has
+carried its bytes, and is delivered one latency later (no earlier than the
+packet before it).  ``send`` therefore computes all three at once and
+schedules one kernel event per packet, its delivery.  Only a link with a
+drop filter keeps a second event, at the finish instant, because the drop
+decision consumes a random stream in finish order (see ``drop_filter``).
 """
 
 import math
@@ -18,13 +21,19 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.errors import LinkDown
-from repro.sim.events import Event
-from repro.trace.integrate import transmission_finish_time
+from repro.trace.integrate import SegmentCursor, transmission_finish_time
+
+_INF = math.inf
 
 
 @dataclass(slots=True)
 class LinkStats:
-    """Counters a link keeps for evaluation and tests."""
+    """Counters a link keeps for evaluation and tests.
+
+    A packet is counted as sent (and its serialization as busy time) when
+    ``send`` schedules it, in FIFO order; a packet that can never finish
+    (bandwidth pinned at zero forever) is not counted.
+    """
 
     packets_sent: int = 0
     bytes_sent: int = 0
@@ -33,21 +42,14 @@ class LinkStats:
     max_queue_depth: int = 0
     deliveries: list = field(default_factory=list, repr=False)
 
-    def record(self, packet, service_time):
-        self.packets_sent += 1
-        self.bytes_sent += packet.size
-        self.busy_seconds += service_time
-
 
 class SimplexLink:
     """One direction of the modulated wireless link.
 
-    ``send(packet)`` either begins serializing immediately (idle link) or
-    queues behind the packet in service.  When a packet's serialization
-    finishes, delivery is scheduled ``latency_at(finish)`` later via
-    ``deliver`` (a callable set by the network) and the next queued packet
-    begins serializing.  Completion times are exact across trace
-    transitions.
+    ``send(packet)`` starts the packet's serialization when the link goes
+    idle (at once if it is idle now), finishes it exactly across trace
+    transitions, and schedules delivery ``latency_at(finish)`` later via
+    ``deliver`` (a callable set by the network).
     """
 
     def __init__(self, sim, trace, name, deliver=None, record_deliveries=False):
@@ -60,61 +62,95 @@ class SimplexLink:
         #: truthy return discards the packet after serialization (the bytes
         #: occupied the air, but the receiver never sees them) — the
         #: mechanism behind injected loss bursts (:mod:`repro.faults`).
+        #: The filter is asked at each packet's finish instant, in finish
+        #: order, so a random filter draws in the order the air saw the
+        #: packets; set it before traffic flows, since packets already
+        #: sent without a filter are not asked.
         self.drop_filter = None
         self._record_deliveries = record_deliveries
-        self._waiting = deque()
-        self._busy = False
+        self._cursor = SegmentCursor(trace)
+        #: Finish time of the last packet sent: when the link goes idle.
+        self._idle_at = -_INF
+        #: Finish times of the packets that had not finished at the last
+        #: send (non-decreasing; the first is the packet in service).
+        self._unfinished = deque()
         self._last_delivery = 0.0
 
     @property
     def queue_depth(self):
         """Packets waiting or in service (approximate, for inspection)."""
-        return len(self._waiting) + (1 if self._busy else 0)
+        now = self.sim.now
+        return sum(1 for finish in self._unfinished if finish >= now)
 
     def send(self, packet):
-        """Enqueue ``packet`` for transmission."""
-        packet.enqueued_at = self.sim.now
-        if self._busy:
-            waiting = self._waiting
-            waiting.append(packet)
+        """Queue ``packet`` for transmission and schedule its delivery."""
+        sim = self.sim
+        now = sim.now
+        packet.enqueued_at = now
+        unfinished = self._unfinished
+        start = self._idle_at
+        if start < now:
+            start = now
+            unfinished.clear()
+        else:
+            # Busy: the packet waits behind every unfinished one but the
+            # one in service.  A packet finishing exactly now still counts
+            # as in service, as if this send ran before its finish.
+            while unfinished[0] < now:
+                unfinished.popleft()
             stats = self.stats
-            if len(waiting) > stats.max_queue_depth:
-                stats.max_queue_depth = len(waiting)
-        else:
-            self._busy = True
-            self._begin_transmission(packet)
-
-    def _begin_transmission(self, packet):
-        sim = self.sim
-        start = sim.now
-        finish = transmission_finish_time(self.trace, start, packet.size)
-        if math.isinf(finish):
-            # Surface at run(), exactly as the old transmitter process did:
-            # an unwaited failing event propagates out of the kernel.
-            Event(sim, name=f"{self.name}.down").fail(LinkDown(
-                f"link {self.name!r}: bandwidth pinned at zero forever; "
-                f"cannot transmit {packet!r}"
-            ))
+            if len(unfinished) > stats.max_queue_depth:
+                stats.max_queue_depth = len(unfinished)
+            if start == _INF:
+                # Queued behind a packet that never finishes.
+                unfinished.append(start)
+                return
+        finish = transmission_finish_time(self.trace, start, packet.size,
+                                          self._cursor)
+        if finish == _INF:
+            self._idle_at = finish
+            unfinished.append(finish)
+            # Surface at run() when serialization would have begun.
+            sim.call_at(start, self._down, packet, exact=True)
             return
-        sim.call_at(finish, self._finish_transmission, packet, start)
+        # Round the finish as a delay from ``start`` would be rounded: the
+        # instant the next packet starts and the drop filter is asked.
+        finish = start + (finish - start)
+        self._idle_at = finish
+        unfinished.append(finish)
+        stats = self.stats
+        stats.packets_sent += 1
+        stats.bytes_sent += packet.size
+        stats.busy_seconds += finish - start
+        if self.drop_filter is not None:
+            sim.call_at(finish, self._finish, packet, exact=True)
+            return
+        deliver_at = finish + self._cursor.latency_at(finish)
+        # Enforce FIFO delivery even if latency drops mid-flight.
+        if deliver_at < self._last_delivery:
+            deliver_at = self._last_delivery
+        self._last_delivery = deliver_at
+        sim.call_at(finish + (deliver_at - finish), self._deliver, packet,
+                    exact=True)
 
-    def _finish_transmission(self, packet, start):
-        sim = self.sim
-        finish = sim.now
-        self.stats.record(packet, finish - start)
-        if self.drop_filter is not None and self.drop_filter(packet, finish):
+    def _finish(self, packet):
+        """A filtered link's finish instant: drop, or schedule delivery."""
+        finish = self.sim.now
+        drop_filter = self.drop_filter
+        if drop_filter is not None and drop_filter(packet, finish):
             self.stats.packets_dropped += 1
-        else:
-            deliver_at = finish + self.trace.latency_at(finish)
-            # Enforce FIFO delivery even if latency drops mid-flight.
-            if deliver_at < self._last_delivery:
-                deliver_at = self._last_delivery
-            self._last_delivery = deliver_at
-            sim.call_at(deliver_at, self._deliver, packet)
-        if self._waiting:
-            self._begin_transmission(self._waiting.popleft())
-        else:
-            self._busy = False
+            return
+        deliver_at = finish + self._cursor.latency_at(finish)
+        if deliver_at < self._last_delivery:
+            deliver_at = self._last_delivery
+        self._last_delivery = deliver_at
+        self.sim.call_at(deliver_at, self._deliver, packet)
+
+    def _down(self, packet):
+        raise LinkDown(
+            f"link {self.name!r}: bandwidth pinned at zero forever; "
+            f"cannot transmit {packet!r}"
+        )
 
     def _deliver(self, packet):
         packet.delivered_at = self.sim.now

@@ -299,6 +299,12 @@ class RpcService:
             raise RpcError(
                 f"service {self.port!r}: empty window at offset {request.offset}"
             )
+        # The packet's route and addresses are the same for every fragment
+        # of the window: look them up once.
+        route = self.host.sender()
+        src = self.host.name
+        port = request.reply_port
+        dst = _host_of(port)
         fragment_bytes = request.fragment_bytes
         sent = 0
         while sent < window:
@@ -314,15 +320,8 @@ class RpcService:
                 last_in_window=last_in_window,
                 last_in_transfer=last_in_transfer,
             )
-            self.host.send(
-                Packet(
-                    src=self.host.name,
-                    dst=_host_of(request.reply_port),
-                    port=request.reply_port,
-                    size=HEADER_BYTES + nbytes,
-                    payload=fragment,
-                )
-            )
+            route(Packet(src=src, dst=dst, port=port,
+                         size=HEADER_BYTES + nbytes, payload=fragment))
             sent += nbytes
         source.consumed = max(source.consumed, request.offset + sent)
         if source.consumed >= source.nbytes:

@@ -10,8 +10,11 @@ events flow through ``run()`` per experiment — so the loop bodies drain
 the calendar queue's current bucket in place instead of dispatching
 through :meth:`step`, ``timeout()`` constructs its event without an extra
 ``__init__`` frame, and scheduled calls carry their callback in slots
-instead of allocating a closure per call.  All scheduling funnels through
-:meth:`Simulator.schedule`, the one place an event meets the queue.
+instead of allocating a closure per call.  Scheduling has three entry
+points — :meth:`Simulator.timeout`, :meth:`Simulator.call_at` (and
+:meth:`Simulator.call_in`, which goes through it) and
+:meth:`Simulator.schedule` — and every event except a plain timeout meets
+the queue in ``schedule``; ``timeout`` inlines the same push.
 """
 
 from bisect import insort
@@ -32,22 +35,11 @@ class _ScheduledCall(Timeout):
 
     Backing for :meth:`Simulator.call_at`: the callback rides in slots on
     the event itself, so scheduling a call allocates no closure and no
-    callback-list entry — one object per call, total.
+    callback-list entry — one object per call, total.  ``call_at`` writes
+    the slots itself instead of running a constructor.
     """
 
     __slots__ = ("_fn", "_args")
-
-    def __init__(self, sim, delay, fn, args):
-        # Slot writes mirror Timeout.__init__ (keep in sync) without the
-        # extra frame; ``delay`` is already validated by ``call_at``.
-        self.sim = sim
-        self.delay = delay
-        self.callbacks = None
-        self._value = None
-        self._ok = True
-        self._fn = fn
-        self._args = args
-        sim.schedule(self, delay)
 
     def _process(self):
         callbacks = self.callbacks
@@ -59,6 +51,9 @@ class _ScheduledCall(Timeout):
                     callback(self)
             else:
                 callbacks(self)
+
+
+_call_new = _ScheduledCall.__new__
 
 
 class Simulator:
@@ -140,7 +135,7 @@ class Simulator:
 
     # -- scheduling --------------------------------------------------------
 
-    def schedule(self, event, delay=0.0):
+    def schedule(self, event, delay=0.0, at=None):
         """Queue a triggered ``event`` to be processed ``delay`` seconds on.
 
         The scheduling entry point for every triggered event: ``succeed``,
@@ -150,15 +145,28 @@ class Simulator:
         :meth:`timeout` inlines this body for the same reason it inlines
         the ``Timeout`` constructor.  Keep both in sync with
         ``CalendarQueue.push``.
+
+        ``at``, when given, is the absolute event time and ``delay`` is
+        ignored: the event is processed at exactly ``at``, whereas a delay
+        lands at ``now + delay``, which for ``delay = at - now`` can differ
+        from ``at`` in the last bit.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
+        if at is None:
+            if delay < 0:
+                raise SimulationError(
+                    f"cannot schedule into the past (delay={delay!r})")
+            time = self._now + delay
+        elif at < self._now:
+            raise SimulationError(
+                f"cannot schedule into the past (at={at!r}, now={self._now!r})")
+        else:
+            time = at
+            delay = at - self._now
         seq = self._seq
         self._seq = seq - 1
         queue = self._queue
         cur = queue._cur
         if delay:
-            time = self._now + delay
             idx = int(time * queue._inv)
             if idx > cur:
                 if idx - cur < queue._nb:
@@ -170,24 +178,36 @@ class Simulator:
                     if len(queue._over) > queue._nb and queue._nb < MAX_BUCKETS:
                         queue._resize(queue._nb * 2)
                 return
-        else:
-            # Zero-delay events (every ``succeed``, every process tick)
-            # always land in the cursor's bucket; skip the index math.
-            time = self._now
+        # Zero-delay events (every ``succeed``, every process tick) always
+        # land in the cursor's bucket; they skip the index math.
         if queue._sorted:
             insort(queue._buckets[cur & queue._mask], (-time, seq, event, time))
         else:
             queue._buckets[cur & queue._mask].append((-time, seq, event, time))
 
-    def call_at(self, when, callback, *args):
+    def call_at(self, when, callback, *args, exact=False):
         """Run ``callback(*args)`` at absolute time ``when``.
 
         Returns the underlying event; triggering machinery is reused so the
         call is ordered deterministically with other events at ``when``.
+        The call is scheduled as the delay ``when - now``, so it fires at
+        ``now + (when - now)``; ``exact=True`` fires it at ``when`` itself,
+        for callers that computed that time to the bit in advance.
         """
         if when < self._now:
             raise SimulationError(f"call_at({when!r}) is in the past (now={self._now!r})")
-        return _ScheduledCall(self, when - self._now, callback, args)
+        # Slot writes mirror Timeout.__init__ (keep in sync) without the
+        # constructor frame.
+        event = _call_new(_ScheduledCall)
+        event.sim = self
+        event.delay = delay = when - self._now
+        event.callbacks = None
+        event._value = None
+        event._ok = True
+        event._fn = callback
+        event._args = args
+        self.schedule(event, delay, when if exact else None)
+        return event
 
     def call_in(self, delay, callback, *args):
         """Run ``callback(*args)`` after ``delay`` seconds."""

@@ -332,3 +332,63 @@ def test_script_capture_applies_default_directions(tmp_path):
         == MIN_SECONDS_TOLERANCE
     assert metrics["test_event_loop_throughput.mean_seconds"]["direction"] \
         == "lower"
+
+
+PROVENANCE_FIELDS = {"commit", "python", "cpu", "cores"}
+
+
+def test_capture_run_stamps_provenance_that_compare_ignores(tmp_path):
+    """Every capture says where it was taken; loading and comparing treat
+    the stamp as a comment."""
+    import platform
+
+    from repro.bench import capture_run
+
+    metrics = headline_metrics(run_report())
+    doc = capture_run(metrics, captured_at="2026-08-05")
+    provenance = doc["provenance"]
+    assert set(provenance) == PROVENANCE_FIELDS
+    assert provenance["cores"] == os.cpu_count()
+    assert platform.python_version() in provenance["python"]
+    assert provenance["cpu"]
+    path = tmp_path / "bench.json"
+    write_baseline(doc, str(path))
+    loaded = load_baseline(str(path))
+    assert loaded["provenance"] == provenance
+    bare = dict(loaded)
+    del bare["provenance"]
+    for current in (metrics, headline_metrics(run_report(SLOWDOWN))):
+        stamped = compare_metrics(current, loaded)
+        unstamped = compare_metrics(current, bare)
+        assert stamped.checks == unstamped.checks
+        assert stamped.new_metrics == unstamped.new_metrics
+    assert compare_metrics(metrics, loaded).ok
+
+
+def test_script_and_cli_captures_carry_provenance(tmp_path, capsys):
+    """Both capture paths, ``baseline.py capture`` and ``repro bench``,
+    write the stamp, and each path's compare accepts it."""
+    from repro.cli import main
+
+    run_json = tmp_path / "run.json"
+    run_json.write_text(json.dumps(run_report()))
+    script_doc = tmp_path / "script.json"
+    captured = _run_script(
+        ["capture", "--json", str(run_json), "--out", str(script_doc)],
+        cwd=tmp_path,
+    )
+    assert captured.returncode == 0, captured.stderr
+    assert set(load_baseline(str(script_doc))["provenance"]) \
+        == PROVENANCE_FIELDS
+    compared = _run_script(
+        ["compare", "--json", str(run_json), "--baseline", str(script_doc)],
+        cwd=tmp_path,
+    )
+    assert compared.returncode == 0, compared.stdout + compared.stderr
+
+    cli_doc = tmp_path / "BENCH.json"
+    assert main(["bench", "--json", str(run_json), "--out", str(cli_doc),
+                 "--baseline", str(script_doc)]) == 0
+    capsys.readouterr()
+    assert set(load_baseline(str(cli_doc))["provenance"]) \
+        == PROVENANCE_FIELDS

@@ -1,6 +1,10 @@
 """Per-connection bandwidth estimation (Eq. 2) and its defenses."""
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.estimation.bandwidth import (
     BASE_RTT_HORIZON,
@@ -68,6 +72,37 @@ def test_base_rtt_forgets_stale_minimum(sim):
     sim.run(until=BASE_RTT_HORIZON + 5)
     estimator.on_round_trip(log, rtt_entry(sim.now, 0.050))
     assert estimator.base_round_trip == pytest.approx(0.050)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.tuples(
+        # Gaps between samples: bursts at one instant, and gaps longer
+        # than the horizon that expire everything before them.
+        st.one_of(st.just(0.0), st.floats(0, 5, allow_nan=False),
+                  st.floats(BASE_RTT_HORIZON - 1, BASE_RTT_HORIZON + 1)),
+        st.one_of(st.floats(1e-4, 2.0, allow_nan=False),
+                  st.sampled_from([0.01, 0.02, 0.05])),
+    ),
+    min_size=1, max_size=60,
+))
+def test_base_rtt_equals_min_over_naive_window(samples):
+    """The monotone window answers exactly ``min`` over every sample no
+    older than the horizon at the latest sample."""
+    from repro.sim.kernel import Simulator
+
+    sim = Simulator()
+    estimator = ConnectionEstimator(sim)
+    log = RpcLog(sim, "c")
+    naive = deque()
+    assert estimator.base_round_trip == estimator.round_trip
+    for gap, seconds in samples:
+        sim.run(until=sim.now + gap)
+        estimator.on_round_trip(log, rtt_entry(sim.now, seconds))
+        naive.append((sim.now, seconds))
+        while naive[0][0] < sim.now - BASE_RTT_HORIZON:
+            naive.popleft()
+        assert estimator.base_round_trip == min(s for _, s in naive)
 
 
 def test_own_log_aggregation_counts_pipelined_windows(sim):

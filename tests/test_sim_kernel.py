@@ -109,6 +109,23 @@ def test_call_at_past_rejected(sim):
     sim.run(until=5.0)
     with pytest.raises(SimulationError):
         sim.call_at(1.0, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.call_at(1.0, lambda: None, exact=True)
+    with pytest.raises(SimulationError):
+        sim.schedule(sim.event(), at=4.0)
+
+
+def test_exact_call_lands_on_the_given_time(sim):
+    """A plain call fires at ``now + (when - now)``, which can miss
+    ``when`` in the last bit; an exact call fires at ``when``."""
+    sim.run(until=0.03)
+    when = 0.301
+    assert sim.now + (when - sim.now) != when
+    fired = []
+    sim.call_at(when, lambda: fired.append(("delay", sim.now)))
+    sim.call_at(when, lambda: fired.append(("exact", sim.now)), exact=True)
+    sim.run()
+    assert fired == [("exact", when), ("delay", 0.03 + (when - 0.03))]
 
 
 def test_event_double_trigger_rejected(sim):

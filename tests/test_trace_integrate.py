@@ -7,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError
-from repro.trace.integrate import bytes_transferable, transmission_finish_time
+from repro.trace.integrate import (
+    SegmentCursor,
+    bytes_transferable,
+    transmission_finish_time,
+)
 from repro.trace.replay import ReplayTrace, Segment
 
 
@@ -99,3 +103,37 @@ def test_finish_time_monotone_in_bytes(bandwidth, start, nbytes):
     t_small = transmission_finish_time(trace, start, nbytes)
     t_large = transmission_finish_time(trace, start, nbytes * 2)
     assert t_large >= t_small >= start
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    segments=st.lists(
+        st.builds(
+            Segment,
+            duration=st.one_of(st.floats(min_value=0.1, max_value=5.0),
+                               st.sampled_from([0.5, 1.0, 2.0])),
+            bandwidth=st.sampled_from([0.0, 100.0, 1000.0, 3333.3]),
+            latency=st.sampled_from([0.0, 0.01, 0.3]),
+        ),
+        min_size=1, max_size=6,
+    ),
+    queries=st.lists(
+        st.tuples(st.one_of(st.floats(min_value=0.0, max_value=30.0),
+                            st.integers(0, 60).map(lambda n: n / 2)),
+                  st.integers(min_value=1, max_value=5000)),
+        min_size=1, max_size=30,
+    ),
+    ordered=st.booleans(),
+)
+def test_cursor_lookups_equal_the_trace_walk(segments, queries, ordered):
+    """With a cursor, finish times and latencies are bit-identical to the
+    cursor-free lookups, whether start times rise (a link) or jump about;
+    segment boundaries, stalls and the held final segment included."""
+    trace = ReplayTrace(segments)
+    cursor = SegmentCursor(trace)
+    if ordered:
+        queries = sorted(queries)
+    for start, nbytes in queries:
+        assert transmission_finish_time(trace, start, nbytes, cursor) \
+            == transmission_finish_time(trace, start, nbytes)
+        assert cursor.latency_at(start) == trace.latency_at(start)
